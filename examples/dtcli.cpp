@@ -33,12 +33,12 @@
 //   --workers=N         worker threads session execution is scheduled
 //                       across; 0 = serial (default). Per-query output
 //                       is byte-identical at any setting (DESIGN.md §11)
-//   --dispatch=static|least-loaded|stealing
+//   --dispatch=static|stealing
 //                       how sessions map to workers (default static).
-//                       least-loaded re-homes a session when its queue
-//                       goes non-empty; stealing lets idle workers claim
-//                       any pending session. Output is byte-identical
-//                       across modes (DESIGN.md §16.1)
+//                       static pins session i to worker i % N; stealing
+//                       lets idle workers claim any pending session.
+//                       Output is byte-identical across modes
+//                       (DESIGN.md §16.1)
 //   --intra-session-threads=N
 //                       threads cooperating on one session's join /
 //                       aggregation kernels, including the session's
@@ -69,14 +69,22 @@
 //                       trace as JSON (schema: DESIGN.md Sec. 9.3);
 //                       `--metrics-json PATH` also works
 //
+// Numeric values must be whole, in-range numbers: counts and the seed
+// are unsigned decimal integers, widths and times finite decimals. A
+// malformed value (`--workers=abc`, `--queue-capacity=-5`,
+// `--memory-budget=64k`) exits non-zero naming the flag.
+//
 // Example:
 //   ./build/examples/dtcli --stats script.sql events.csv > results.csv
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/engine/engine.h"
@@ -95,6 +103,27 @@ using datatriage::Status;
 int Fail(const std::string& message) {
   std::fprintf(stderr, "dtcli: %s\n", message.c_str());
   return 1;
+}
+
+/// Parses all of `text` as a T: an unsigned integer (no sign, no
+/// overflow) or a finite floating-point number. Leading or trailing
+/// junk, an empty string and an out-of-range value all fail.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed)) return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+int BadNumber(const std::string& arg) {
+  return Fail("malformed or out-of-range number in '" + arg +
+              "' (see header comment)");
 }
 
 bool ConsumeFlag(const std::string& arg, const std::string& name,
@@ -116,13 +145,13 @@ struct LifecycleOp {
 bool ParseLifecycleOp(const std::string& value, bool is_register,
                       std::vector<LifecycleOp>* ops) {
   const size_t colon = value.find(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= value.size()) {
+  if (colon == std::string::npos) return false;
+  LifecycleOp op;
+  const std::string_view text = value;
+  if (!ParseNumber(text.substr(0, colon), &op.query) ||
+      !ParseNumber(text.substr(colon + 1), &op.time)) {
     return false;
   }
-  LifecycleOp op;
-  op.query = static_cast<size_t>(std::atoll(value.substr(0, colon).c_str()));
-  op.time = std::atof(value.substr(colon + 1).c_str());
   op.is_register = is_register;
   ops->push_back(op);
   return true;
@@ -155,41 +184,45 @@ int main(int argc, char** argv) {
     } else if (ConsumeFlag(arg, "synopsis", &value)) {
       synopsis_kind = value;
     } else if (ConsumeFlag(arg, "cell-width", &value)) {
-      config.synopsis.grid.cell_width = std::atof(value.c_str());
+      if (!ParseNumber(value, &config.synopsis.grid.cell_width)) {
+        return BadNumber(arg);
+      }
     } else if (ConsumeFlag(arg, "buckets", &value)) {
-      config.synopsis.mhist.max_buckets =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseNumber(value, &config.synopsis.mhist.max_buckets)) {
+        return BadNumber(arg);
+      }
     } else if (ConsumeFlag(arg, "reservoir", &value)) {
-      config.synopsis.reservoir.capacity =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseNumber(value, &config.synopsis.reservoir.capacity)) {
+        return BadNumber(arg);
+      }
     } else if (ConsumeFlag(arg, "queue-capacity", &value)) {
-      config.queue_capacity =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseNumber(value, &config.queue_capacity)) return BadNumber(arg);
     } else if (ConsumeFlag(arg, "memory-budget", &value)) {
-      config.memory_budget_bytes =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseNumber(value, &config.memory_budget_bytes)) {
+        return BadNumber(arg);
+      }
     } else if (ConsumeFlag(arg, "workers", &value)) {
-      server_options.scheduler.worker_threads =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseNumber(value, &server_options.scheduler.worker_threads)) {
+        return BadNumber(arg);
+      }
     } else if (ConsumeFlag(arg, "dispatch", &value)) {
       if (value == "static") {
         server_options.scheduler.dispatch =
             datatriage::engine::DispatchMode::kStatic;
-      } else if (value == "least-loaded") {
-        server_options.scheduler.dispatch =
-            datatriage::engine::DispatchMode::kLeastLoaded;
       } else if (value == "stealing") {
         server_options.scheduler.dispatch =
             datatriage::engine::DispatchMode::kStealing;
       } else {
-        return Fail("unknown dispatch mode '" + value +
-                    "' (static|least-loaded|stealing)");
+        return Fail("unknown --dispatch mode '" + value +
+                    "' (static|stealing)");
       }
     } else if (ConsumeFlag(arg, "intra-session-threads", &value)) {
-      server_options.scheduler.intra_session_threads =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseNumber(value,
+                       &server_options.scheduler.intra_session_threads)) {
+        return BadNumber(arg);
+      }
     } else if (ConsumeFlag(arg, "seed", &value)) {
-      config.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      if (!ParseNumber(value, &config.seed)) return BadNumber(arg);
     } else if (ConsumeFlag(arg, "drop-policy", &value)) {
       if (value == "random") {
         config.drop_policy = datatriage::triage::DropPolicyKind::kRandom;

@@ -162,7 +162,7 @@ std::string MetricsJson(const MetricsRegistry& registry,
 
   if (trace != nullptr) {
     out.append(",\n  \"windows\": [");
-    const std::vector<WindowTraceRecord>& records = trace->records();
+    const std::deque<WindowTraceRecord>& records = trace->records();
     for (size_t i = 0; i < records.size(); ++i) {
       out.append(i > 0 ? ",\n" : "\n");
       AppendWindowRecord(&out, records[i]);

@@ -4,9 +4,7 @@ namespace datatriage::obs {
 
 void WindowTraceRecorder::Record(WindowTraceRecord record) {
   ++total_recorded_;
-  if (capacity_ > 0 && records_.size() >= capacity_) {
-    records_.erase(records_.begin());
-  }
+  if (records_.size() >= kWindowTraceCapacity) records_.pop_front();
   records_.push_back(std::move(record));
 }
 

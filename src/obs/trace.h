@@ -2,9 +2,9 @@
 #define DATATRIAGE_OBS_TRACE_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/common/virtual_time.h"
 
@@ -37,34 +37,33 @@ struct WindowTraceRecord {
   int64_t shadow_work_units = 0;
 };
 
-/// Append-only log of per-window trace records, in emission order.
-/// Recording is O(1) amortized and allocation-light; a production
-/// deployment would cap or down-sample it, which `set_capacity` models:
-/// once `capacity` records exist, the oldest are discarded (the counters
-/// in MetricsRegistry keep whole-run totals regardless).
+/// Most recent window records a WindowTraceRecorder keeps (DESIGN.md
+/// §9.3): enough for the trace of any bench run, and a fixed bound on a
+/// long-running session's trace memory.
+inline constexpr size_t kWindowTraceCapacity = 4096;
+
+/// Log of the most recent kWindowTraceCapacity per-window trace records,
+/// in emission order. Recording is O(1): once the log is full, each new
+/// record discards the oldest (the counters in MetricsRegistry and
+/// total_recorded() keep whole-run totals regardless).
 class WindowTraceRecorder {
  public:
   void Record(WindowTraceRecord record);
 
-  const std::vector<WindowTraceRecord>& records() const {
-    return records_;
-  }
-  /// Total records ever recorded (>= records().size() once capped).
+  const std::deque<WindowTraceRecord>& records() const { return records_; }
+  /// Total records ever recorded (>= records().size() once full).
   int64_t total_recorded() const { return total_recorded_; }
 
-  /// 0 (the default) means unbounded.
-  void set_capacity(size_t capacity) { capacity_ = capacity; }
-
-  /// Overwrites the log wholesale. Snapshot restore only (DESIGN.md §14).
-  void Restore(std::vector<WindowTraceRecord> records,
+  /// Overwrites the log wholesale; `records` holds at most
+  /// kWindowTraceCapacity entries. Snapshot restore only (DESIGN.md §14).
+  void Restore(std::deque<WindowTraceRecord> records,
                int64_t total_recorded) {
     records_ = std::move(records);
     total_recorded_ = total_recorded;
   }
 
  private:
-  std::vector<WindowTraceRecord> records_;
-  size_t capacity_ = 0;
+  std::deque<WindowTraceRecord> records_;
   int64_t total_recorded_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <utility>
 
@@ -1150,7 +1151,13 @@ Status QuerySession::LoadState(serde::Reader* reader) {
   }
 
   DT_ASSIGN_OR_RETURN(const uint64_t num_records, reader->ReadCount(16));
-  std::vector<obs::WindowTraceRecord> records(num_records);
+  if (num_records > obs::kWindowTraceCapacity) {
+    return Status::InvalidArgument(StringPrintf(
+        "snapshot: %llu window trace records exceed the trace cap of %zu",
+        static_cast<unsigned long long>(num_records),
+        obs::kWindowTraceCapacity));
+  }
+  std::deque<obs::WindowTraceRecord> records(num_records);
   for (uint64_t i = 0; i < num_records; ++i) {
     DT_RETURN_IF_ERROR(LoadTraceRecord(reader, &records[i]));
   }

@@ -200,8 +200,8 @@ class StreamServer {
   std::string MetricsJson() const;
 
  private:
-  /// Moves kRegistering -> kStreaming on the first push and, when the
-  /// effective scheduler has worker_threads > 0, starts the TaskScheduler
+  /// Moves kRegistering -> kStreaming on the first push and, when
+  /// options.scheduler has worker_threads > 0, starts the TaskScheduler
   /// (and the intra-session morsel pool when intra_session_threads > 1)
   /// and installs the plane dispatcher (the worker count is fixed here;
   /// sessions registered later home onto the existing workers). Rejects

@@ -84,24 +84,6 @@ void TaskScheduler::Dispatch(uint32_t session_id, WorkerTask task) {
   DT_CHECK(session_id < producer_view_.size());
   SessionQueue& q = *producer_view_[session_id];
   const uint64_t enqueued = q.enqueued.load(std::memory_order_relaxed);
-  if (dispatch_ == engine::DispatchMode::kLeastLoaded &&
-      enqueued == q.executed.load(std::memory_order_acquire)) {
-    // Empty→non-empty transition: re-home onto the worker with the
-    // fewest outstanding tasks (ties to the lowest index). A hint, not
-    // a lock — the claim protocol keeps consumption serialized even if
-    // the old home is still mid-scan.
-    std::vector<uint64_t> load(workers_.size(), 0);
-    for (const SessionQueue* s : producer_view_) {
-      load[s->home.load(std::memory_order_relaxed)] +=
-          s->enqueued.load(std::memory_order_relaxed) -
-          s->executed.load(std::memory_order_relaxed);
-    }
-    size_t best = 0;
-    for (size_t w = 1; w < load.size(); ++w) {
-      if (load[w] < load[best]) best = w;
-    }
-    q.home.store(best, std::memory_order_relaxed);
-  }
   while (!q.queue.TryPush(std::move(task))) {
     // Full ring: the consumer is behind. Backpressure the feed rather
     // than dropping — shedding is the triage queues' job.
@@ -110,8 +92,7 @@ void TaskScheduler::Dispatch(uint32_t session_id, WorkerTask task) {
   q.enqueued.store(enqueued + 1, std::memory_order_release);
   const int64_t depth = static_cast<int64_t>(
       enqueued + 1 - q.executed.load(std::memory_order_relaxed));
-  const size_t home = q.home.load(std::memory_order_relaxed);
-  if (depth > depth_hwm_[home]) depth_hwm_[home] = depth;
+  if (depth > depth_hwm_[q.home]) depth_hwm_[q.home] = depth;
   if (dispatch_yield_every_ > 0 &&
       ++dispatched_since_yield_ >= dispatch_yield_every_) {
     dispatched_since_yield_ = 0;
@@ -228,10 +209,9 @@ void TaskScheduler::RunWorker(size_t k) {
     }
     bool did_work = false;
     for (SessionQueue* q : view) {
-      // Static and least-loaded workers scan only their homed rings; a
-      // stealing worker scans every ring and claims any with pending
-      // tasks (its own home rings first, by scan order).
-      if (!steal && q->home.load(std::memory_order_relaxed) != k) continue;
+      // A static worker scans only its homed rings; a stealing worker
+      // scans every ring and claims any with pending tasks.
+      if (!steal && q->home != k) continue;
       if (q->executed.load(std::memory_order_relaxed) ==
           q->enqueued.load(std::memory_order_acquire)) {
         continue;

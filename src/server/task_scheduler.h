@@ -28,12 +28,18 @@ struct TaskWorkerStats {
   int64_t queue_depth_hwm = 0;
 };
 
+/// Slots in each session's task ring (rounded up to a power of two).
+/// The dispatching thread blocks while a session's ring is full —
+/// backpressure, never loss: load shedding is the triage queues' job,
+/// not the task rings'. SimFaults::task_queue_capacity_override is the
+/// only other size a ring takes.
+inline constexpr size_t kTaskQueueCapacity = 1024;
+
 /// Fixed pool of worker threads consuming per-*session* bounded SPSC
 /// task rings, fed by a single dispatching thread (the StreamServer's
 /// ingest thread). Which worker runs a session is the dispatch policy's
-/// business (engine::DispatchMode): static modulo homes, least-loaded
-/// re-homing at each empty→non-empty transition, or work stealing where
-/// any idle worker may claim any pending session.
+/// business (engine::DispatchMode): static modulo homes, or work
+/// stealing where any idle worker may claim any pending session.
 ///
 /// The determinism contract (DESIGN.md §11, §16.1) is policy-free: a
 /// session's tasks sit in one FIFO ring and a claim flag serializes
@@ -63,7 +69,7 @@ class TaskScheduler {
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Registers session `session_id` with its initial home worker.
+  /// Registers session `session_id` with its home worker.
   /// Session ids must arrive dense and in order (they index the ring
   /// table). Safe while workers run — mid-stream registration adds
   /// sessions between pushes; workers pick the new ring up on their
@@ -72,9 +78,7 @@ class TaskScheduler {
 
   /// Enqueues `task` on `session_id`'s ring, blocking (yield loop)
   /// while the ring is full. Must only be called from the single
-  /// dispatching thread, and not after Stop(). Under kLeastLoaded an
-  /// empty→non-empty ring is first re-homed to the worker with the
-  /// fewest outstanding tasks (ties to the lowest index).
+  /// dispatching thread, and not after Stop().
   void Dispatch(uint32_t session_id, WorkerTask task);
 
   /// Simulation hook (SimFaults::dispatch_yield_every): when `every_n`
@@ -114,14 +118,13 @@ class TaskScheduler {
 
     const uint32_t id;
     SpscTaskQueue queue;
-    /// Placement hint: which worker scans this ring (ignored by
-    /// stealing workers, which scan every ring). Producer-written
-    /// under kLeastLoaded; a hint only, the claim below is what
-    /// serializes consumption.
-    std::atomic<size_t> home;
+    /// Which worker scans this ring (ignored by stealing workers,
+    /// which scan every ring); the claim below is what serializes
+    /// consumption.
+    const size_t home;
     /// Exactly one worker consumes the ring at a time: acquire-CAS to
     /// claim, release-store to release, so ring consumer state hands
-    /// off cleanly between workers under stealing/re-homing.
+    /// off cleanly between workers under stealing.
     std::atomic<bool> claimed{false};
     /// Producer cursor (single writer: the dispatching thread);
     /// release-published after the slot lands so scanning workers see

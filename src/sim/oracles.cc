@@ -315,11 +315,10 @@ Status CheckSnapshotRestore(const SimScenario& scenario,
                             bool install_faults) {
   if (base.session_snapshot.empty()) return Status::OK();
   engine::StreamServerOptions options = scenario.options;
-  // Serial restore target. dispatch and parallel_min_rows keep the
-  // scenario's values so the snapshot's scheduler stamp cross-checks
-  // cleanly (they are stamped; thread counts are not).
-  options.scheduler.worker_threads = 0;
-  options.scheduler.intra_session_threads = 0;
+  // Serial restore target with default SchedulerOptions: they are
+  // deployment settings, not stamped, so the donor's dispatch mode and
+  // morsel floor need not carry over.
+  options.scheduler = engine::SchedulerOptions{};
   server::StreamServer server(scenario.catalog, options);
   if (install_faults) {
     DT_RETURN_IF_ERROR(server.SetSimFaults(&scenario.faults));

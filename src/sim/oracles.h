@@ -65,8 +65,9 @@ Result<QueryRunOutput> RunOnEngine(
 /// Oracle: two server runs are byte-identical per session (results CSV,
 /// snapshot, metrics JSON). Used serial-vs-replay and serial-vs-parallel.
 /// `compare_snapshots` additionally demands byte-identical session-0
-/// snapshot bytes — on for replay/parallel comparisons, off when the two
-/// runs legitimately serialize different configs (executor-mode flips).
+/// snapshot bytes — on for replay, parallel and dispatch-flip
+/// comparisons, off when the two runs legitimately serialize different
+/// configs (executor-mode flips).
 Status CheckRunsEquivalent(const ServerRunOutput& a,
                            const ServerRunOutput& b,
                            std::string_view a_label,

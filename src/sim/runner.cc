@@ -103,11 +103,11 @@ Status RunOracles(uint64_t seed, const SimScenario& scenario,
   }
 
   // Dispatch-mode equivalence: rerun the scenario with the dispatch
-  // mode flipped (kStealing <-> kStatic; kLeastLoaded flips to
-  // kStealing) at every parallel worker count. Placement policy moves
-  // *when* a session runs, never *what* it computes, so per-session
-  // output must match the serial baseline exactly. Snapshot bytes are
-  // exempt: the stamp serializes the (deliberately different) mode.
+  // mode flipped (kStealing <-> kStatic) at every parallel worker count.
+  // Placement policy moves *when* a session runs, never *what* it
+  // computes, so per-session output — snapshot bytes included, since
+  // no scheduler option is serialized — must match the serial baseline
+  // exactly.
   {
     SimScenario flipped = scenario;
     engine::SchedulerOptions& sched = flipped.options.scheduler;
@@ -124,8 +124,7 @@ Status RunOracles(uint64_t seed, const SimScenario& scenario,
       const std::string label = "dispatch-flipped workers=" +
                                 std::to_string(workers);
       DT_RETURN_IF_ERROR(Annotate(
-          CheckRunsEquivalent(base, *flipped_run, "serial", label,
-                              /*compare_snapshots=*/false),
+          CheckRunsEquivalent(base, *flipped_run, "serial", label),
           seed, "dispatch-mode-equivalence"));
     }
   }

@@ -422,13 +422,13 @@ SimScenario GenerateScenario(uint64_t seed) {
   // pick a non-default SchedulerOptions. worker_threads stays 0 here —
   // the runner sweeps worker counts itself — but dispatch mode, the
   // intra-session morsel fan-out, and the morsel floor ride in the
-  // scenario so every oracle (including the snapshot round-trip, which
-  // cross-checks the scheduler stamp) sees them.
+  // scenario so every oracle sees them. The bit that once picked a
+  // third, since-removed mode now picks kStatic, so no draw moves.
   if ((seed & 3) == 2) {
     engine::SchedulerOptions& sched = scenario.options.scheduler;
     sched.dispatch = ((seed >> 2) & 1) != 0
                          ? engine::DispatchMode::kStealing
-                         : engine::DispatchMode::kLeastLoaded;
+                         : engine::DispatchMode::kStatic;
     sched.intra_session_threads = 1 + ((seed >> 4) & 3);
     static constexpr size_t kMinRowsChoices[] = {0, 0, 64, 256};
     sched.parallel_min_rows = kMinRowsChoices[(seed >> 6) & 3];

@@ -131,34 +131,6 @@ TEST(SchedulerOptionsValidateTest, RejectsThreadCountCeilings) {
             std::string::npos);
 }
 
-TEST(StreamServerOptionsValidateTest, DeprecatedShimFoldsIntoScheduler) {
-  engine::StreamServerOptions options;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  options.worker_threads = 3;  // legacy aggregate-init style
-#pragma GCC diagnostic pop
-  EXPECT_TRUE(options.Validate().ok());
-  const engine::SchedulerOptions effective = options.EffectiveScheduler();
-  EXPECT_EQ(effective.worker_threads, 3u);
-  EXPECT_EQ(effective.dispatch, engine::DispatchMode::kStatic);
-  EXPECT_EQ(effective.intra_session_threads, 0u);
-}
-
-TEST(StreamServerOptionsValidateTest, RejectsBothWorkerKnobsSet) {
-  engine::StreamServerOptions options;
-  options.scheduler.worker_threads = 2;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  options.worker_threads = 3;
-#pragma GCC diagnostic pop
-  Status status = options.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("deprecated"), std::string::npos);
-  EXPECT_NE(status.message().find("scheduler.worker_threads"),
-            std::string::npos);
-}
-
 TEST(StreamServerOptionsValidateTest, SurfacesSchedulerInvariants) {
   // The nested scheduler's own invariants surface through the
   // server-level Validate, so a bad deployment fails before any thread

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/catalog/catalog.h"
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
+#include "src/server/stream_server.h"
 
 namespace datatriage::obs {
 namespace {
@@ -79,18 +82,70 @@ TEST(MetricsRegistryTest, SnapshotsAreKeyedByName) {
   EXPECT_DOUBLE_EQ(maxima.at("depth"), 9.0);
 }
 
-TEST(WindowTraceRecorderTest, CapacityDiscardsOldestButKeepsTotals) {
+TEST(WindowTraceRecorderTest, FullRingDiscardsOldestButKeepsTotals) {
   WindowTraceRecorder recorder;
-  recorder.set_capacity(2);
-  for (int w = 0; w < 3; ++w) {
+  const int64_t total = static_cast<int64_t>(kWindowTraceCapacity) + 2;
+  for (int64_t w = 0; w < total; ++w) {
     WindowTraceRecord record;
     record.window = w;
     recorder.Record(std::move(record));
   }
-  EXPECT_EQ(recorder.total_recorded(), 3);
-  ASSERT_EQ(recorder.records().size(), 2u);
-  EXPECT_EQ(recorder.records()[0].window, 1);
-  EXPECT_EQ(recorder.records()[1].window, 2);
+  EXPECT_EQ(recorder.total_recorded(), total);
+  ASSERT_EQ(recorder.records().size(), kWindowTraceCapacity);
+  EXPECT_EQ(recorder.records().front().window, 2);
+  EXPECT_EQ(recorder.records().back().window, total - 1);
+}
+
+TEST(WindowTraceRecorderTest, SessionTraceStaysCappedAcrossSnapshot) {
+  // One event per one-second window: the session emits more windows
+  // than the trace keeps, and is snapshotted once its ring is full.
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.RegisterStream({"R", Schema({{"a", FieldType::kInt64}})})
+          .ok());
+  const std::string sql =
+      "SELECT a, COUNT(*) as n FROM R GROUP BY a; WINDOW R['1 second'];";
+  const size_t windows = kWindowTraceCapacity + 100;
+  std::vector<engine::StreamEvent> events;
+  for (size_t w = 0; w < windows; ++w) {
+    events.push_back(
+        {"r", Tuple({Value::Int64(static_cast<int64_t>(w % 3))},
+                    static_cast<double>(w) + 0.5)});
+  }
+  const std::span<const engine::StreamEvent> feed(events);
+  const size_t cut = windows - 50;
+
+  server::StreamServer donor(catalog);
+  auto id = donor.RegisterQuery(sql, engine::EngineConfig{});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(donor.PushBatch(feed.subspan(0, cut)).ok());
+  const WindowTraceRecorder& donor_trace = donor.session(*id).trace();
+  ASSERT_EQ(donor_trace.records().size(), kWindowTraceCapacity);
+  ASSERT_GT(donor_trace.total_recorded(),
+            static_cast<int64_t>(kWindowTraceCapacity));
+  auto snapshot = donor.SnapshotSession(*id);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_TRUE(donor.PushBatch(feed.subspan(cut)).ok());
+  ASSERT_TRUE(donor.Finish().ok());
+
+  EXPECT_EQ(donor_trace.total_recorded(), static_cast<int64_t>(windows));
+  ASSERT_EQ(donor_trace.records().size(), kWindowTraceCapacity);
+  EXPECT_EQ(donor_trace.records().front().window,
+            static_cast<WindowId>(windows - kWindowTraceCapacity));
+  EXPECT_EQ(donor_trace.records().back().window,
+            static_cast<WindowId>(windows - 1));
+
+  server::StreamServer target(catalog);
+  auto restored = target.RestoreSession(*snapshot);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_TRUE(target.PushBatch(feed.subspan(cut)).ok());
+  ASSERT_TRUE(target.Finish().ok());
+  const server::QuerySession& restored_session = target.session(*restored);
+  EXPECT_EQ(restored_session.trace().total_recorded(),
+            donor_trace.total_recorded());
+  EXPECT_EQ(MetricsJson(restored_session.metrics(),
+                        &restored_session.trace()),
+            MetricsJson(donor.session(*id).metrics(), &donor_trace));
 }
 
 TEST(MetricsJsonTest, EmptyRegistryWithoutTrace) {

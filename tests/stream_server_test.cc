@@ -997,10 +997,14 @@ TEST(SessionSnapshotTest, RejectsCorruptTruncatedAndSkewedSnapshots) {
   EXPECT_TRUE(target.RestoreSession(*snapshot).ok());
 }
 
-TEST(SessionSnapshotTest, RejectsSchedulerStampMismatchOnRestore) {
+TEST(SessionSnapshotTest, RestoresAcrossSchedulerOptions) {
+  // Scheduler options are deployment settings and are not stamped: a
+  // session snapshotted on a stealing pool restores onto a serial static
+  // server with a different morsel floor and finishes byte-identically.
   const workload::Scenario scenario = OverloadScenario();
   const std::vector<QuerySpec> specs = HostedQueries(scenario);
   const std::span<const StreamEvent> events(scenario.events);
+  const size_t half = events.size() / 2;
 
   engine::StreamServerOptions donor_options;
   donor_options.scheduler.worker_threads = 2;
@@ -1008,39 +1012,33 @@ TEST(SessionSnapshotTest, RejectsSchedulerStampMismatchOnRestore) {
   StreamServer donor(scenario.catalog, donor_options);
   auto id = donor.RegisterQuery(specs[0].sql, specs[0].config);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
-  ASSERT_TRUE(donor.PushBatch(events.subspan(0, events.size() / 2)).ok());
+  ASSERT_TRUE(donor.PushBatch(events.subspan(0, half)).ok());
   auto snapshot = donor.SnapshotSession(*id);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_TRUE(donor.PushBatch(events.subspan(half)).ok());
+  ASSERT_TRUE(donor.Finish().ok());
 
-  // A kStatic target refuses the kStealing stamp by name.
-  StreamServer static_target(scenario.catalog);
-  auto bad = static_target.RestoreSession(*snapshot);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.status().message().find("dispatch mode"),
-            std::string::npos)
-      << bad.status().ToString();
+  engine::StreamServerOptions target_options;
+  target_options.scheduler.dispatch = engine::DispatchMode::kStatic;
+  target_options.scheduler.parallel_min_rows = 512;
+  StreamServer target(scenario.catalog, target_options);
+  auto restored_id = target.RestoreSession(*snapshot);
+  ASSERT_TRUE(restored_id.ok()) << restored_id.status().ToString();
+  ASSERT_TRUE(target.PushBatch(events.subspan(half)).ok());
+  ASSERT_TRUE(target.Finish().ok());
 
-  // A mismatched morsel floor is refused too.
-  engine::StreamServerOptions floor_options;
-  floor_options.scheduler.dispatch = engine::DispatchMode::kStealing;
-  floor_options.scheduler.parallel_min_rows = 512;
-  StreamServer floor_target(scenario.catalog, floor_options);
-  bad = floor_target.RestoreSession(*snapshot);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.status().message().find("parallel_min_rows"),
-            std::string::npos)
-      << bad.status().ToString();
-
-  // Matching dispatch restores fine even at a different worker count —
-  // thread counts are deployment properties, deliberately unstamped.
-  engine::StreamServerOptions match_options;
-  match_options.scheduler.worker_threads = 4;
-  match_options.scheduler.dispatch = engine::DispatchMode::kStealing;
-  match_options.scheduler.intra_session_threads = 2;
-  StreamServer match_target(scenario.catalog, match_options);
-  EXPECT_TRUE(match_target.RestoreSession(*snapshot).ok());
+  QuerySession& donor_session = donor.session(*id);
+  QuerySession& restored_session = target.session(*restored_id);
+  EXPECT_EQ(io::FormatResultsCsv(restored_session.TakeResults(),
+                                 specs[0].columns),
+            io::FormatResultsCsv(donor_session.TakeResults(),
+                                 specs[0].columns));
+  ExpectSnapshotsEqual(restored_session.StatsSnapshot(),
+                       donor_session.StatsSnapshot());
+  EXPECT_EQ(obs::MetricsJson(restored_session.metrics(),
+                             &restored_session.trace()),
+            obs::MetricsJson(donor_session.metrics(),
+                             &donor_session.trace()));
 }
 
 // --- Skewed tenants under the scheduler sweep (DESIGN.md §16) -----------
@@ -1119,8 +1117,7 @@ TEST(SkewedTenantEquivalence, SchedulerSweepProducesByteIdenticalRuns) {
   EXPECT_GT(serial[0].snapshot.core.tuples_dropped, 0);
 
   for (engine::DispatchMode dispatch :
-       {engine::DispatchMode::kStatic, engine::DispatchMode::kLeastLoaded,
-        engine::DispatchMode::kStealing}) {
+       {engine::DispatchMode::kStatic, engine::DispatchMode::kStealing}) {
     for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
       for (size_t intra : {size_t{1}, size_t{2}, size_t{4}}) {
         SCOPED_TRACE(StringPrintf(
